@@ -1,8 +1,9 @@
 //! Fleet scheduler throughput: beam-seconds placed per second of wall
 //! time as the fleet grows. Placement cost is dominated by the greedy
-//! earliest-finish scan (O(devices) per beam) plus the crossbeam
-//! channel round-trips, so this tracks how far the dispatcher design
-//! scales before it becomes the survey's bottleneck.
+//! earliest-finish scan (O(devices) per beam) plus the per-beam
+//! admission, reply handling and telemetry encoding, so this tracks how
+//! far the dispatcher design scales before it becomes the survey's
+//! bottleneck.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dedisp_fleet::{FaultPlan, ResolvedFleet, Scheduler, SurveyLoad};

@@ -40,8 +40,7 @@ use dedisp_fleet::obs::{
     SpanKind, TraceSink,
 };
 use dedisp_fleet::{
-    BeamOutcome, BeamRecord, FleetReport, NullObserver, ResolvedFleet, Scheduler, SurveyLoad,
-    TelemetryEvent,
+    BeamOutcome, BeamRecord, NullObserver, ResolvedFleet, Scheduler, SurveyLoad, TelemetryEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -105,15 +104,6 @@ fn time_min<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
     best
 }
 
-/// A report with the racy per-device queue high-water zeroed.
-fn normalized(report: &FleetReport) -> FleetReport {
-    let mut n = report.clone();
-    for d in &mut n.devices {
-        d.max_queue_depth = 0;
-    }
-    n
-}
-
 /// What this bench measures and records. The committed baseline is
 /// the shared `BENCH_fleet.json`; this struct round-trips only the
 /// `tracing_*` keys and ignores the telemetry bench's.
@@ -165,8 +155,7 @@ fn measure() -> Results {
             .run_with(&mut fanout)
             .expect("traced run completes");
         assert_eq!(
-            normalized(&traced.report),
-            normalized(&bare.report),
+            traced.report, bare.report,
             "the traced stack perturbed the report"
         );
         assert_eq!(

@@ -15,18 +15,16 @@
 //!   replays through the report folds.
 //!
 //! Finally the same grid is re-run *without* observers and the two
-//! normalized reports are diffed: live observation must never perturb
-//! scheduling (the determinism guarantee of DESIGN.md §10, with the
-//! racy per-device `max_queue_depth` excluded exactly as the chaos
-//! fingerprint excludes it).
+//! reports are diffed whole: live observation must never perturb
+//! scheduling (the determinism guarantee of DESIGN.md §10).
 
 use dedisp_fleet::obs::{
     self, FlightRecorder, GridFanout, GridRegistry, GridStatusSnapshot, LiveGrid, MetricsRegistry,
     ObsServer, ObsState,
 };
 use dedisp_fleet::{
-    Grid, GridFaultPlan, GridObserver, GridReport, GridRun, ResolvedFleet, StatusSnapshot,
-    SurveyLoad, TelemetryEvent,
+    Grid, GridFaultPlan, GridObserver, GridRun, ResolvedFleet, StatusSnapshot, SurveyLoad,
+    TelemetryEvent,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,18 +64,6 @@ impl GridObserver for Throttle {
     fn observe_grid(&self, _shard: Option<usize>, _event: &TelemetryEvent) {
         std::thread::sleep(PACE);
     }
-}
-
-/// One normalized report: the racy per-device queue high-water zeroed,
-/// exactly as the chaos determinism fingerprint does.
-fn normalized(report: &GridReport) -> GridReport {
-    let mut n = report.clone();
-    for shard in &mut n.shards {
-        for d in &mut shard.devices {
-            d.max_queue_depth = 0;
-        }
-    }
-    n
 }
 
 fn shards() -> Vec<ResolvedFleet> {
@@ -227,7 +213,6 @@ fn main() {
 
     let report = &run.report;
     assert!(report.conservation_ok(), "chaos grid conserves every beam");
-    metrics.record_reports(&report.shards.iter().collect::<Vec<_>>());
 
     // --- /status agrees with the merged ledger -----------------------
     headline("/status vs the merged GridReport");
@@ -298,9 +283,6 @@ fn main() {
             .1;
         assert_eq!(*inf, count, "+Inf bucket equals _count for {series}");
     }
-    // The racy high-water gauges are present (and documented as
-    // excluded from every determinism fingerprint).
-    assert!(metrics_body.contains("fleet_device_max_queue_depth"));
     println!(
         "{} samples parsed; outcome counters sum to {} admitted beams",
         samples.len(),
@@ -345,10 +327,9 @@ fn main() {
         .run()
         .expect("unobserved chaos grid run completes");
     assert_eq!(
-        normalized(report).to_json(),
-        normalized(&unobserved.report).to_json(),
-        "observed and unobserved runs agree byte-for-byte (modulo the racy \
-         max_queue_depth, excluded exactly as the chaos fingerprint excludes it)"
+        report.to_json(),
+        unobserved.report.to_json(),
+        "observed and unobserved runs agree byte-for-byte"
     );
     println!("observed ≡ unobserved: live observation is ledger-invisible");
 

@@ -11,8 +11,7 @@
 //!    profile explains where ticks go, it does not gesture at them.
 //! 2. **Observation is free of side effects** — the traced run's
 //!    report, beam ledger, and event log are identical to an untraced
-//!    run of the same inputs (the racy per-device queue high-water
-//!    zeroed, exactly as the determinism fingerprint does).
+//!    run of the same inputs.
 //! 3. **One timeline across processes** — the §V-D grid runs with
 //!    every shard a supervised child; shard 0's child `SIGKILL`s
 //!    itself mid-run and is restarted. The supervisor's trace sink
@@ -39,9 +38,8 @@ use dedisp_fleet::obs::{
 };
 use dedisp_fleet::proc::{serve_stdio, ProcOutcome};
 use dedisp_fleet::{
-    BeamOutcome, BeamRecord, ChaosSpec, FaultPlan, FleetReport, FleetSpec, Grid, GridReport,
-    GridRun, ProcConfig, ProcGridLedger, ResolvedFleet, Scheduler, ShardBackend, SurveyLoad,
-    TelemetryEvent,
+    BeamOutcome, BeamRecord, ChaosSpec, FaultPlan, FleetSpec, Grid, GridReport, GridRun,
+    ProcConfig, ProcGridLedger, ResolvedFleet, Scheduler, ShardBackend, SurveyLoad, TelemetryEvent,
 };
 use manycore_sim::amd_hd7970;
 use radioastro::{RealtimeCheck, SurveySizing};
@@ -112,26 +110,6 @@ fn trace_out_path(args: &[String]) -> Option<PathBuf> {
     None
 }
 
-/// A fleet report with the racy per-device queue high-water zeroed.
-fn normalized_fleet(report: &FleetReport) -> FleetReport {
-    let mut n = report.clone();
-    for d in &mut n.devices {
-        d.max_queue_depth = 0;
-    }
-    n
-}
-
-/// The grid-report analogue of [`normalized_fleet`].
-fn normalized(report: &GridReport) -> GridReport {
-    let mut n = report.clone();
-    for shard in &mut n.shards {
-        for d in &mut shard.devices {
-            d.max_queue_depth = 0;
-        }
-    }
-    n
-}
-
 /// One terminal beam event at virtual time `at`, missed or clean —
 /// the raw material the SLO scenario feeds the fold.
 fn beam_event(at: f64, missed: bool) -> TelemetryEvent {
@@ -155,7 +133,7 @@ fn beam_event(at: f64, missed: bool) -> TelemetryEvent {
 }
 
 /// The machine-readable fingerprint the CI tracing job byte-diffs:
-/// only deterministic facts — normalized ledgers, the supervision
+/// only deterministic facts — the ledgers, the supervision
 /// story, span *counts* where they are deterministic, and the SLO
 /// fold's virtual-time snapshot. Never span durations.
 #[derive(Serialize)]
@@ -164,7 +142,7 @@ struct TraceReport {
     coverage_ok: bool,
     /// Tick spans the traced single-fleet run recorded (== ticks).
     tick_spans: u64,
-    /// The chaos cluster report, high-water marks zeroed.
+    /// The chaos cluster report.
     chaos: GridReport,
     /// The chaos run's supervision ledger — restarts, dedupes, backoffs.
     supervision: ProcGridLedger,
@@ -239,8 +217,8 @@ fn main() {
         .run()
         .expect("untraced run completes");
     assert_eq!(
-        normalized_fleet(&traced.report).to_json(),
-        normalized_fleet(&bare.report).to_json(),
+        traced.report.to_json(),
+        bare.report.to_json(),
         "tracing perturbed the report"
     );
     assert_eq!(traced.records, bare.records, "tracing perturbed the ledger");
@@ -281,8 +259,8 @@ fn main() {
         .run()
         .expect("traced chaos cluster completes");
     assert_eq!(
-        normalized(&proc_run.report).to_json(),
-        normalized(&thread_twin.report).to_json(),
+        proc_run.report.to_json(),
+        thread_twin.report.to_json(),
         "tracing or supervision perturbed the merged report"
     );
     assert_eq!(proc_run.records, thread_twin.records);
@@ -423,7 +401,7 @@ fn main() {
     experiments::out::write_json_report(&TraceReport {
         coverage_ok: true,
         tick_spans,
-        chaos: normalized(&proc_run.report),
+        chaos: proc_run.report.clone(),
         supervision,
         slo_at_page,
         slo_recovered,

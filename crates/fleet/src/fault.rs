@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] states, per device, a schedule of [`FaultEvent`]s:
 //! permanent kills, down/up flaps, throttled slowdown windows, and
-//! transient bounces. Plans are plain data handed to the *workers*, not
-//! the dispatcher: the dispatcher only learns of a fault when the
+//! transient bounces. Plans are plain data handed to the simulated
+//! *devices*, not the dispatcher: the dispatcher only learns of a fault when the
 //! faulty device bounces work back (or finishes it late), exactly as a
 //! real cluster manager learns from failed RPCs and missed heartbeats
 //! rather than from an omniscient schedule. The dispatcher's health
@@ -243,7 +243,7 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Compiles `device`'s schedule into the worker-side view.
+    /// Compiles `device`'s schedule into the device-side view.
     pub(crate) fn compile(&self, device: usize) -> DeviceFaults {
         let mut downs = Vec::new();
         let mut slowdowns = Vec::new();
@@ -271,7 +271,7 @@ impl FaultPlan {
     }
 }
 
-/// What a worker decides about one handed beam.
+/// What a device decides about one handed beam.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Gate {
     /// The beam runs for `duration` virtual seconds (slowdown applied).
@@ -289,7 +289,7 @@ pub(crate) enum Gate {
     },
 }
 
-/// One device's compiled fault schedule, owned by its worker thread.
+/// One device's compiled fault schedule, owned by its simulated device.
 ///
 /// Down windows merge kills (`[at, ∞)`) and flaps (`[down_at, up_at)`).
 /// Transients are stateful: each bounce consumes one count.

@@ -11,9 +11,9 @@
 //!   falling back to the nearest tuned instance or a fresh tuning run.
 //!   Groups may instead carry a *measured* rate ([`RateSource`]), so one
 //!   fleet mixes benchmarked and modeled platforms.
-//! * [`Scheduler`] — a crossbeam work-queue dispatcher placing beam
-//!   batches by cost-model predicted throughput, with admission control
-//!   and real backpressure against the real-time deadline budget. Runs
+//! * [`Scheduler`] — a dispatcher placing beam batches on virtual
+//!   devices by cost-model predicted throughput, with admission
+//!   control against the real-time deadline budget. Runs
 //!   are configured as builder-style sessions
 //!   (`Scheduler::session(&fleet).load(&load).run()`), and any
 //!   [`LoadSource`] — a [`SurveyLoad`] cadence, a grid shard, a future
@@ -47,7 +47,7 @@
 //!   [`StatusSnapshot`] — serde round-trippable, derivable from any
 //!   stream prefix — gives operators the queryable point-in-time view
 //!   behind the planned status endpoint.
-//! * [`FleetReport`] — per-device utilization, queue depth, deadline
+//! * [`FleetReport`] — per-device utilization and bounces, deadline
 //!   misses, the full shed ledger, and the recovery ledger (bounces,
 //!   retries, probes, canaries, [`HealthEvent`] transitions) as a
 //!   serde artifact.
@@ -71,14 +71,13 @@
 //!   fleet-wide before any shard sheds two — by handing each shard
 //!   per-tick admission ceilings.
 //!
-//! The scheduling simulation runs in virtual time on real threads: one
-//! worker per device behind a bounded queue, so dispatcher backpressure
-//! and failure detection by bounced work are exercised by the real
-//! concurrency machinery. Runs are nonetheless *deterministic*: the
-//! dispatcher observes worker verdicts at fixed synchronization points
-//! and processes them in virtual-time order, so identical
-//! `(fleet, load, plan, config)` inputs yield identical reports — only
-//! the observed `max_queue_depth` of each worker may vary between runs.
+//! The scheduling simulation runs in virtual time, inline: each device
+//! is a simulated executor the dispatcher calls directly, and it
+//! reports every beam and probe back as a reply — failures are
+//! detected by bounced work, never by reading the fault plan. The
+//! dispatcher handles replies in virtual-time order at fixed points,
+//! so identical `(fleet, load, plan, config)` inputs yield identical
+//! reports.
 //!
 //! ```
 //! use dedisp_fleet::{ResolvedFleet, Scheduler, SurveyLoad};

@@ -168,14 +168,10 @@ pub struct DeviceMetrics {
     pub busy_s: f64,
     /// `busy_s / makespan` — fraction of the run spent working.
     pub utilization: f64,
-    /// Deepest its work queue ever got (admitted, not yet started).
-    ///
-    /// Observed by the real worker thread as it drains the bounded
-    /// queue, so it can vary run-to-run with OS scheduling; every
-    /// other field of the report is deterministic (the dispatcher
-    /// observes worker verdicts at fixed synchronization points and
-    /// orders them by virtual time), so compare reports modulo this
-    /// field when asserting determinism.
+    /// Always 0: devices run inline, so no device queue exists. The
+    /// field stays because the benchmark harness
+    /// (`perfbench/src/control.rs`) still assigns it; the in-flight
+    /// count lives in the status snapshot's per-device `queue_depth`.
     pub max_queue_depth: usize,
     /// Beams that bounced off this device, as observed.
     pub bounces: usize,
@@ -236,8 +232,8 @@ pub struct FleetReport {
 /// This is itself an [`Observer`], so the same accumulation can run
 /// live during a session or after the fact over a collected stream —
 /// the report is *defined* as this fold plus the per-load and
-/// per-worker context that never enters the stream (setup shape, busy
-/// seconds, queue high-water marks).
+/// per-device context that never enters the stream (setup shape, busy
+/// seconds, beams done).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ReportFold {
     completed: usize,
@@ -335,13 +331,14 @@ impl Observer for ReportFold {
 
 impl FleetReport {
     /// Builds the report by folding the telemetry stream, then joining
-    /// the worker statistics and fault context that never enter the
-    /// stream.
+    /// the per-device work totals and fault context that never enter
+    /// the stream (all slices in device-id order).
     pub(crate) fn build(
         fleet: &ResolvedFleet,
         load: &dyn LoadSource,
         log: &EventLog,
-        stats: &[WorkerStats],
+        busy_s: &[f64],
+        beams_done: &[usize],
         died_at: &[Option<f64>],
     ) -> Self {
         let mut fold = ReportFold::new(fleet.len());
@@ -359,14 +356,14 @@ impl FleetReport {
                 id: d.id,
                 name: d.name.clone(),
                 gflops: d.gflops,
-                beams_done: stats[d.id].beams_done,
-                busy_s: stats[d.id].busy_s,
+                beams_done: beams_done[d.id],
+                busy_s: busy_s[d.id],
                 utilization: if makespan > 0.0 {
-                    stats[d.id].busy_s / makespan
+                    busy_s[d.id] / makespan
                 } else {
                     0.0
                 },
-                max_queue_depth: stats[d.id].max_queue_depth,
+                max_queue_depth: 0,
                 bounces: fold.device_bounces.get(d.id).copied().unwrap_or(0),
                 final_health: fold.final_health.get(d.id).copied().unwrap_or_default(),
                 died_at: died_at[d.id],
@@ -438,14 +435,6 @@ impl FleetReport {
     }
 }
 
-/// Final statistics a worker thread reports as it retires.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct WorkerStats {
-    pub busy_s: f64,
-    pub beams_done: usize,
-    pub max_queue_depth: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,20 +494,15 @@ mod tests {
                 },
             }),
         ];
-        let stats = vec![
-            WorkerStats {
-                busy_s: 0.2,
-                beams_done: 1,
-                max_queue_depth: 1,
-            },
-            WorkerStats {
-                busy_s: 0.5,
-                beams_done: 1,
-                max_queue_depth: 1,
-            },
-        ];
         let log = EventLog::from_events(&events);
-        let report = FleetReport::build(&fleet, &load, &log, &stats, &[None, Some(5.0)]);
+        let report = FleetReport::build(
+            &fleet,
+            &load,
+            &log,
+            &[0.2, 0.5],
+            &[1, 1],
+            &[None, Some(5.0)],
+        );
         assert!(report.conservation_ok());
         assert_eq!(report.completed, 1);
         assert_eq!(report.degraded, 1);
@@ -539,7 +523,6 @@ mod tests {
     fn conservation_detects_loss() {
         let fleet = ResolvedFleet::synthetic(10, &[0.5]);
         let load = SurveyLoad::custom(10, 2, 1);
-        let stats = vec![WorkerStats::default()];
         // Only one of two admitted beams in the stream.
         let events = vec![
             TelemetryEvent::Shed(ShedRecord {
@@ -561,7 +544,7 @@ mod tests {
             }),
         ];
         let log = EventLog::from_events(&events);
-        let report = FleetReport::build(&fleet, &load, &log, &stats, &[None]);
+        let report = FleetReport::build(&fleet, &load, &log, &[0.0], &[0], &[None]);
         assert!(!report.conservation_ok());
         assert_eq!(report.shed_whole, 1);
         assert_eq!(report.total_shed_trials, 10);
@@ -572,12 +555,12 @@ mod tests {
     fn mean_surviving_utilization_is_zero_when_every_device_died() {
         let fleet = ResolvedFleet::synthetic(10, &[0.5, 0.5]);
         let load = SurveyLoad::custom(10, 1, 1);
-        let stats = vec![WorkerStats::default(); 2];
         let report = FleetReport::build(
             &fleet,
             &load,
             &EventLog::new(),
-            &stats,
+            &[0.0; 2],
+            &[0; 2],
             &[Some(0.1), Some(0.2)],
         );
         assert!(report.devices.iter().all(|d| d.died_at.is_some()));

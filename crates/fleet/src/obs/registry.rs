@@ -20,7 +20,7 @@
 
 use crate::batch::{EventKind, TickBatch};
 use crate::capture::{BackpressurePolicy, CaptureDropCause};
-use crate::metrics::{BeamOutcome, FleetReport};
+use crate::metrics::BeamOutcome;
 use crate::telemetry::{CaptureEvent, GridObserver, Observer, TelemetryEvent};
 use manycore_sim::Algorithm;
 use parking_lot::RwLock;
@@ -401,15 +401,10 @@ struct DeviceCells {
 ///
 /// Everything derived here folds from the deterministic event stream,
 /// so the rendered metrics of a finished run are as reproducible as
-/// its report — with one deliberate exception: the gauges set by
-/// [`RegistryObserver::record_report`], which import the racy
-/// `max_queue_depth` high-water marks the worker threads observed (the
-/// one field the determinism guarantee excludes, and the reason those
-/// gauges never feed a determinism fingerprint).
+/// its report.
 #[derive(Debug)]
 pub struct RegistryObserver {
     registry: MetricsRegistry,
-    scope: Vec<(String, String)>,
     events: Vec<(&'static str, Counter)>,
     outcomes: [(&'static str, Counter); 4],
     shed_trials: Counter,
@@ -527,8 +522,7 @@ impl RegistryObserver {
                     ),
                     queue_depth_peak: registry.gauge(
                         "fleet_device_queue_depth_peak",
-                        "High-water queue depth as folded from the event stream \
-                         (deterministic, unlike the worker-observed max_queue_depth).",
+                        "High-water queue depth as folded from the event stream.",
                         &refs,
                     ),
                     bounces: registry.counter(
@@ -653,7 +647,6 @@ impl RegistryObserver {
             ),
             devices: device_cells,
             algorithm_assignments,
-            scope,
             ticks: RwLock::new(Vec::new()),
             capture_arrivals,
             capture_drops,
@@ -1030,31 +1023,6 @@ impl RegistryObserver {
             | TelemetryEvent::Rebalance { .. } => {}
         }
     }
-
-    /// Imports the post-run, worker-observed queue high-water marks of
-    /// `report` as `fleet_device_max_queue_depth` gauges.
-    ///
-    /// This is the **one racy metric** in the registry:
-    /// `max_queue_depth` is observed by the real worker thread under
-    /// OS scheduling and may differ between identical runs (see
-    /// DESIGN.md §12). It is exported for operators — a deep queue
-    /// high-water is a capacity signal — but it is exactly the field
-    /// the chaos determinism fingerprint zeroes, and it must never be
-    /// folded into one.
-    pub fn record_report(&self, report: &FleetReport) {
-        for device in &report.devices {
-            let id = device.id.to_string();
-            let mut labels = self.scope.clone();
-            labels.push(("device".to_string(), id));
-            let gauge = self.registry.gauge(
-                "fleet_device_max_queue_depth",
-                "Worker-observed queue high-water mark (racy: varies between \
-                 identical runs; excluded from determinism fingerprints).",
-                &as_refs(&labels),
-            );
-            gauge.set(device.max_queue_depth as f64);
-        }
-    }
 }
 
 impl Observer for RegistryObserver {
@@ -1097,14 +1065,6 @@ impl GridRegistry {
     /// The per-shard observers, shard order.
     pub fn shards(&self) -> &[RegistryObserver] {
         &self.shards
-    }
-
-    /// Imports each shard's racy `max_queue_depth` high-water marks
-    /// post-run (see [`RegistryObserver::record_report`]).
-    pub fn record_reports(&self, reports: &[&FleetReport]) {
-        for (observer, report) in self.shards.iter().zip(reports) {
-            observer.record_report(report);
-        }
     }
 }
 
@@ -1231,9 +1191,7 @@ mod tests {
             assert_eq!(cells.queue_depth.get(), 0.0);
             assert!(cells.queue_depth_peak.get() >= 1.0);
         }
-        // The racy high-water import is a separate, explicit step.
-        observer.record_report(r);
         let rendered = registry.render_prometheus();
-        assert!(rendered.contains("fleet_device_max_queue_depth"));
+        assert!(rendered.contains("fleet_device_queue_depth_peak"));
     }
 }

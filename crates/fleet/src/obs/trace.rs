@@ -23,11 +23,11 @@
 //!
 //! # The never-fingerprinted rule
 //!
-//! Spans measure wall-clock time and therefore vary run to run. Like
-//! the racy per-device `max_queue_depth`, they live strictly *outside*
-//! the deterministic ledgers: a span never becomes a
-//! [`crate::TelemetryEvent`], never enters a [`crate::TickBatch`] or
-//! [`crate::EventLog`], and never lands in a report. Runs with a
+//! Spans measure wall-clock time and therefore vary run to run, so
+//! they live strictly *outside* the deterministic ledgers: a span
+//! never becomes a [`crate::TelemetryEvent`], never enters a
+//! [`crate::TickBatch`] or [`crate::EventLog`], and never lands in a
+//! report. Runs with a
 //! `TraceSink` attached produce byte-identical ledgers to runs
 //! without one (proptest-pinned in `tests/proptest_trace.rs`).
 
@@ -50,7 +50,7 @@ pub enum SpanKind {
     Admit,
     /// The per-beam placement/shed loop of a tick.
     Dispatch,
-    /// Draining worker verdicts (probes sent + events observed).
+    /// Draining device replies (probes sent + replies observed).
     Drain,
     /// Sealing the tick's columnar batch into the run log.
     BatchEncode,
@@ -135,7 +135,8 @@ pub struct Span {
     /// The tick (or drain window / frame ordinal) the work served.
     pub tick: u64,
     /// Wall-clock start, nanoseconds since the Unix epoch — absolute,
-    /// so parent and child process spans align on one timeline.
+    /// so parent and child process spans align on one timeline (the
+    /// recording sink's wall-clock anchor plus a monotonic offset).
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
@@ -153,6 +154,12 @@ const DEFAULT_RING_CAPACITY: usize = 4096;
 
 #[derive(Debug)]
 struct SinkInner {
+    /// The sink's one monotonic clock reading taken alongside
+    /// `anchor_ns`: span starts are offsets from it, so timing a span
+    /// costs one clock read at each end.
+    anchor: Instant,
+    /// Wall-clock nanoseconds since the Unix epoch at `anchor`.
+    anchor_ns: u64,
     /// Per-shard span capacity.
     capacity: usize,
     /// Bounded per-shard rings, keyed by `shard` (front/session work
@@ -172,9 +179,12 @@ struct SinkInner {
 /// Clones share the same rings — build one, clone handles into the
 /// session builders ([`crate::Session::trace`],
 /// [`crate::GridSession::trace`], [`crate::CaptureSession::trace`])
-/// and into [`super::ObsState`] for the `/trace` endpoint. Recording
-/// is one short mutex hold on a per-shard ring plus (optionally) a
-/// histogram observation; an unattached session pays nothing.
+/// and into [`super::ObsState`] for the `/trace` endpoint. Timing a
+/// span costs one monotonic clock read at each end (starts are offsets
+/// from the sink's one wall-clock anchor); recording is one short
+/// mutex hold on the per-shard rings — one per batch through
+/// [`TraceSink::record_all`] — plus (optionally) a histogram
+/// observation per span. An unattached session pays nothing.
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     inner: Arc<SinkInner>,
@@ -191,13 +201,19 @@ impl TraceSink {
     /// evicted first), without registry mirroring.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        Self::with_hists(capacity, None)
+    }
+
+    fn with_hists(capacity: usize, hists: Option<Vec<Histogram>>) -> Self {
         Self {
             inner: Arc::new(SinkInner {
+                anchor: Instant::now(),
+                anchor_ns: wall_ns(),
                 capacity: capacity.max(1),
                 rings: Mutex::new(BTreeMap::new()),
                 recorded: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
-                hists: None,
+                hists,
             }),
         }
     }
@@ -217,15 +233,7 @@ impl TraceSink {
                 )
             })
             .collect();
-        Self {
-            inner: Arc::new(SinkInner {
-                capacity: capacity.max(1),
-                rings: Mutex::new(BTreeMap::new()),
-                recorded: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                hists: Some(hists),
-            }),
-        }
+        Self::with_hists(capacity, Some(hists))
     }
 
     /// Starts timing a span; the returned guard records it when
@@ -236,25 +244,61 @@ impl TraceSink {
             kind,
             shard,
             tick,
-            start_ns: wall_ns(),
             started: Instant::now(),
+        }
+    }
+
+    /// The span of work timed from `started` to `ended`, stamped on
+    /// this sink's wall clock. Nothing is recorded: code that times in
+    /// a hot loop keeps the raw readings and converts and records them
+    /// later, many spans per lock hold ([`TraceSink::record_all`]).
+    #[must_use]
+    pub fn span(
+        &self,
+        kind: SpanKind,
+        shard: Option<usize>,
+        tick: u64,
+        started: Instant,
+        ended: Instant,
+    ) -> Span {
+        let nanos = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        Span {
+            kind,
+            shard,
+            tick,
+            start_ns: self
+                .inner
+                .anchor_ns
+                .saturating_add(nanos(started.saturating_duration_since(self.inner.anchor))),
+            dur_ns: nanos(ended.saturating_duration_since(started)),
         }
     }
 
     /// Records one finished span (the supervisor uses this to inject
     /// spans a child shipped upstream).
     pub fn record(&self, span: Span) {
+        self.record_all(&[span]);
+    }
+
+    /// Records finished spans under one lock hold.
+    pub fn record_all(&self, spans: &[Span]) {
         if let Some(hists) = &self.inner.hists {
-            hists[span.kind.index()].observe(span.dur_ns as f64 * 1e-9);
+            for span in spans {
+                hists[span.kind.index()].observe(span.dur_ns as f64 * 1e-9);
+            }
         }
-        self.inner.recorded.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .recorded
+            .fetch_add(spans.len() as u64, Ordering::Relaxed);
         let mut rings = self.inner.rings.lock();
-        let ring = rings.entry(span.shard).or_default();
-        if ring.len() >= self.inner.capacity {
-            ring.pop_front();
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+        for span in spans {
+            let ring = rings.entry(span.shard).or_default();
+            if ring.len() >= self.inner.capacity {
+                ring.pop_front();
+                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            ring.push_back(*span);
         }
-        ring.push_back(span);
     }
 
     /// The last `n` spans across all shards, in `start_ns` order.
@@ -328,7 +372,6 @@ pub struct SpanGuard<'a> {
     kind: SpanKind,
     shard: Option<usize>,
     tick: u64,
-    start_ns: u64,
     started: Instant,
 }
 
@@ -339,13 +382,11 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.sink.record(Span {
-            kind: self.kind,
-            shard: self.shard,
-            tick: self.tick,
-            start_ns: self.start_ns,
-            dur_ns: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        });
+        let ended = Instant::now();
+        let span = self
+            .sink
+            .span(self.kind, self.shard, self.tick, self.started, ended);
+        self.sink.record(span);
     }
 }
 

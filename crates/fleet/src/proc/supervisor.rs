@@ -258,8 +258,7 @@ enum AttemptEnd {
 /// [`FleetRun`] plus the supervision ledger.
 ///
 /// The returned run is frame-for-frame identical to what the in-thread
-/// path produces from the same spec (modulo wall-clock fields like
-/// per-device `max_queue_depth`, which only the child observes).
+/// path produces from the same spec.
 ///
 /// # Errors
 ///

@@ -1,13 +1,9 @@
 //! Run-to-run determinism and legacy (kill-only) equivalence.
 //!
-//! The scheduler runs on real threads, but the dispatcher observes
-//! worker verdicts at fixed synchronization points and processes them
-//! in virtual-time order, so the *report* is a pure function of
-//! `(fleet, load, plan, config)` — with exactly one exception: each
-//! device's `max_queue_depth` is sampled by the worker thread as it
-//! drains a real bounded channel, so it may vary with OS scheduling.
-//! These tests pin that contract: `max_queue_depth` is the **only**
-//! run-to-run-variable field of a faulted report.
+//! The dispatcher runs its virtual devices inline and handles their
+//! replies at fixed points in virtual-time order, so the *report* is a
+//! pure function of `(fleet, load, plan, config)`. These tests pin
+//! that contract: repeated faulted runs produce equal reports, whole.
 //!
 //! Historical note: the pre-health-machine scheduler drained its event
 //! channel opportunistically (`try_recv` racing the workers), and was
@@ -20,7 +16,7 @@
 //! what the lockstep observation removed.
 
 use dedisp_fleet::{
-    FaultPlan, FleetReport, FleetRun, HealthState, ResolvedFleet, Scheduler, ShedReason, SurveyLoad,
+    FaultPlan, FleetRun, HealthState, ResolvedFleet, Scheduler, ShedReason, SurveyLoad,
 };
 
 fn faulted_run() -> FleetRun {
@@ -41,27 +37,17 @@ fn faulted_run() -> FleetRun {
         .expect("valid inputs")
 }
 
-/// Clones a report with `max_queue_depth` zeroed on every device.
-fn modulo_queue_depth(report: &FleetReport) -> FleetReport {
-    let mut normalized = report.clone();
-    for d in &mut normalized.devices {
-        d.max_queue_depth = 0;
-    }
-    normalized
-}
-
-/// `max_queue_depth` is the only field of a faulted report allowed to
-/// vary between runs: everything else — aggregates, recovery ledger,
-/// health transitions, itemized sheds, per-device stats, makespan, and
-/// the full beam ledger — must be identical across repeated runs.
+/// No field of a faulted report varies between runs: aggregates,
+/// recovery ledger, health transitions, itemized sheds, per-device
+/// stats, makespan, and the full beam ledger are identical across
+/// repeated runs.
 #[test]
-fn max_queue_depth_is_the_only_run_to_run_variable_field() {
+fn repeated_faulted_runs_give_equal_reports() {
     let first = faulted_run();
     for attempt in 0..4 {
         let next = faulted_run();
         assert_eq!(
-            modulo_queue_depth(&next.report),
-            modulo_queue_depth(&first.report),
+            next.report, first.report,
             "faulted report diverged on repeat run {attempt}"
         );
         assert_eq!(
@@ -147,6 +133,6 @@ fn all_kill_plans_reproduce_the_legacy_contract() {
         .faults(&faults)
         .run()
         .expect("valid inputs");
-    assert_eq!(modulo_queue_depth(&again.report), modulo_queue_depth(r));
+    assert_eq!(&again.report, r);
     assert_eq!(again.records, run.records);
 }

@@ -14,15 +14,13 @@
 //!    transient schedules never lose a beam either, and the recovery
 //!    ledger's arithmetic holds (every bounce is retried or exhausted).
 //! 5. **Determinism** — identical `(fleet, load, plan)` inputs produce
-//!    identical reports and records, modulo the racy `max_queue_depth`.
+//!    identical reports and records.
 //! 6. **No stranding** — a fleet that flaps down and comes back is
 //!    re-trusted: late ticks run work again instead of shedding it.
 //! 7. **Quiet when healthy** — a plan whose events all land after the
 //!    horizon is indistinguishable from no plan at all.
 
-use dedisp_fleet::{
-    FaultEvent, FaultPlan, FleetReport, FleetRun, ResolvedFleet, Scheduler, SurveyLoad,
-};
+use dedisp_fleet::{FaultEvent, FaultPlan, FleetRun, ResolvedFleet, Scheduler, SurveyLoad};
 use proptest::prelude::*;
 
 /// Runs the scheduler over a synthetic fleet.
@@ -74,17 +72,6 @@ fn mixed_plan(events: &[RawEvent], devices: usize, offset: f64) -> FaultPlan {
         );
     }
     plan
-}
-
-/// A report with every device's racy `max_queue_depth` zeroed — the
-/// one field the determinism guarantee excludes (it is observed by the
-/// worker thread draining a real bounded queue).
-fn modulo_queue_depth(report: &FleetReport) -> FleetReport {
-    let mut normalized = report.clone();
-    for d in &mut normalized.devices {
-        d.max_queue_depth = 0;
-    }
-    normalized
 }
 
 proptest! {
@@ -238,8 +225,7 @@ proptest! {
 
     /// Invariant 5: the scheduler is deterministic. Two runs of the
     /// same `(fleet, load, plan)` produce identical reports and beam
-    /// records — modulo `max_queue_depth`, which is observed by the
-    /// real worker thread and may legitimately vary with OS scheduling.
+    /// records.
     #[test]
     fn identical_inputs_give_identical_reports(
         spb in prop::collection::vec(0.05f64..1.0, 2..6),
@@ -254,7 +240,7 @@ proptest! {
         let faults = mixed_plan(&events, spb.len(), 0.0);
         let a = run(&spb, trials, beams, ticks, &faults);
         let b = run(&spb, trials, beams, ticks, &faults);
-        prop_assert_eq!(modulo_queue_depth(&a.report), modulo_queue_depth(&b.report));
+        prop_assert_eq!(a.report, b.report);
         prop_assert_eq!(a.records, b.records);
     }
 
@@ -318,10 +304,7 @@ proptest! {
         let faults = mixed_plan(&events, spb.len(), 1.0e4);
         let faulted = run(&spb, trials, beams, ticks, &faults);
         let clean = run(&spb, trials, beams, ticks, &FaultPlan::none());
-        prop_assert_eq!(
-            modulo_queue_depth(&faulted.report),
-            modulo_queue_depth(&clean.report)
-        );
+        prop_assert_eq!(faulted.report, clean.report);
         prop_assert_eq!(faulted.records, clean.records);
     }
 }

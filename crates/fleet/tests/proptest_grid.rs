@@ -16,8 +16,7 @@
 //!    transient schedules never lose a beam either, and the supervisor
 //!    ledger's arithmetic closes (re-homed beams sum across shards).
 //! 6. **Determinism** — identical `(shards, load, policy, plan)`
-//!    inputs yield identical grid reports and records, modulo each
-//!    worker's racy `max_queue_depth`.
+//!    inputs yield identical grid reports and records.
 
 use dedisp_fleet::{
     FaultEvent, Grid, GridAdmission, GridFaultPlan, GridReport, GridRun, RebalancePolicy,
@@ -273,8 +272,7 @@ proptest! {
 
     /// Invariant 6: the grid is deterministic end to end. Two runs of
     /// the same `(shards, load, policy, plan)` produce identical
-    /// reports and global records — modulo each worker's racy
-    /// `max_queue_depth`.
+    /// reports and global records.
     #[test]
     fn identical_grid_inputs_give_identical_reports(
         spb in prop::collection::vec(0.05f64..1.0, 2..6),
@@ -294,7 +292,7 @@ proptest! {
         let load = load_of(trials, beams, ticks);
         let a = run_grid(&fleets, &load, policy, &faults);
         let b = run_grid(&fleets, &load, policy, &faults);
-        prop_assert_eq!(modulo_queue_depth(&a.report), modulo_queue_depth(&b.report));
+        prop_assert_eq!(a.report, b.report);
         prop_assert_eq!(a.records, b.records);
     }
 
@@ -371,23 +369,11 @@ fn load_of(trials: usize, beams: usize, ticks: usize) -> SurveyLoad {
     SurveyLoad::custom(trials, beams, ticks)
 }
 
-/// A grid report with every shard device's racy `max_queue_depth`
-/// zeroed — the one field excluded from the determinism guarantee.
-fn modulo_queue_depth(report: &GridReport) -> GridReport {
-    let mut normalized = report.clone();
-    for shard in &mut normalized.shards {
-        for d in &mut shard.devices {
-            d.max_queue_depth = 0;
-        }
-    }
-    normalized
-}
-
-/// [`modulo_queue_depth`] plus the admission-mode label normalized, so
+/// A grid report with the admission-mode label normalized, so
 /// per-shard and coordinated reports can be compared for ledger
 /// identity.
 fn modulo_admission_mode(report: &GridReport) -> GridReport {
-    let mut normalized = modulo_queue_depth(report);
+    let mut normalized = report.clone();
     normalized.admission = GridAdmission::default();
     normalized
 }

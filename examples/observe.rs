@@ -62,7 +62,6 @@ fn main() {
         .faults(&faults)
         .run_with(&GridFanout::new(&sinks))
         .expect("observed grid run completes");
-    metrics.record_reports(&run.report.shards.iter().collect::<Vec<_>>());
 
     // Play operator: poll the endpoints the way `curl` would.
     let status = obs::get(addr, "/status").expect("GET /status");

@@ -72,9 +72,15 @@ impl Default for PipelineConfig {
 
 /// A running streaming pipeline.
 ///
-/// Feed chunks through [`StreamingPipeline::sender`], drop the sender to
-/// signal end-of-stream, then drain candidates from
-/// [`StreamingPipeline::candidates`] and [`StreamingPipeline::join`].
+/// Feed chunks through [`StreamingPipeline::sender`] and drain
+/// [`StreamingPipeline::candidates`] *while chunks flow* — from another
+/// thread, or interleaved with sending. The candidate channel holds
+/// only `4 × queue_depth` candidates: once it is full the workers block
+/// on it and stop taking chunks, so a caller that sends everything
+/// before draining stalls, and [`StreamingPipeline::join`] never
+/// returns. At end of stream drop every sender and call
+/// [`StreamingPipeline::join`]; a collector iterating the candidates
+/// finishes once the last worker has exited.
 pub struct StreamingPipeline {
     input_tx: Option<Sender<Chunk>>,
     candidate_rx: Receiver<Candidate>,
@@ -162,6 +168,10 @@ impl StreamingPipeline {
 
     /// Closes the intake (if still open), waits for every worker, and
     /// returns the total number of chunks processed.
+    ///
+    /// Blocks forever if more candidates are owed than the candidate
+    /// channel holds and nobody is draining it (see
+    /// [`StreamingPipeline`]).
     ///
     /// # Panics
     ///
@@ -278,6 +288,35 @@ mod tests {
         let mut beams: Vec<usize> = candidates.try_iter().map(|c| c.beam).collect();
         beams.sort_unstable();
         assert_eq!(beams, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn draining_while_chunks_flow_completes() {
+        let plan = plan();
+        let pipeline = StreamingPipeline::spawn(
+            Arc::clone(&plan),
+            PipelineConfig {
+                queue_depth: 1,
+                snr_threshold: 0.0, // every chunk yields a candidate
+                ..PipelineConfig::default()
+            },
+        );
+        // 20 candidates against a 4-slot candidate channel: left
+        // undrained, the workers would block and `join` never return.
+        let candidates = pipeline.candidates();
+        let collector = thread::spawn(move || candidates.iter().count());
+        let tx = pipeline.sender();
+        for second in 0..20 {
+            tx.send(Chunk {
+                beam: 0,
+                second,
+                data: SignalGenerator::new(second).generate(&plan),
+            })
+            .unwrap();
+        }
+        drop(tx);
+        assert_eq!(pipeline.join(), 20);
+        assert_eq!(collector.join().expect("collector panicked"), 20);
     }
 
     #[test]
